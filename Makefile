@@ -39,8 +39,10 @@ verify: build test bench-smoke verify-faults verify-serve verify-churn verify-ne
 build:
 	cargo build --release
 
+# Every package's tests, not just the root package's: the COW, analyzer,
+# DKNP golden-byte, crash-harness and tuning suites live in member crates.
 test:
-	cargo test -q
+	cargo test -q --workspace
 
 bench-smoke:
 	cargo run --release -q -p dkindex-bench --bin reproduce -- bench-smoke

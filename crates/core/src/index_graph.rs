@@ -27,7 +27,7 @@ pub const SIM_EXACT: usize = usize::MAX / 4;
 ///
 /// All per-index-node state (label, similarity, extent, adjacency) lives in
 /// one [`Block`] per node inside an `Arc`-shared [`BlockStore`], and the
-/// node→block map is a segment-shared [`SegVec`]. Cloning an `IndexGraph`
+/// node→block map is a copy-on-write [`SegVec`] trie. Cloning an `IndexGraph`
 /// is therefore a copy-on-write snapshot: the clone shares every block with
 /// the original until one of them mutates it, which is what lets the serve
 /// layer publish a maintenance batch by rebuilding only the blocks the
@@ -89,7 +89,7 @@ impl IndexGraph {
         let nblocks = partition.block_count();
 
         let mut blocks = BlockStore::with_capacity(nblocks);
-        // The node map starts as a shallow snapshot of base's; only segments
+        // The node map starts as a shallow snapshot of base's; only leaves
         // whose nodes move between blocks are copied below.
         let mut node_to_index = base.node_to_index.clone();
         for (b, k) in partition.block_ids().zip(similarity) {
@@ -144,8 +144,8 @@ impl IndexGraph {
     ) -> IndexGraph {
         assert_eq!(labels.len(), similarity.len());
         assert_eq!(labels.len(), extents.len());
-        let mut node_to_index: SegVec<NodeId> = std::iter::repeat_n(NodeId::from_index(0), data_nodes)
-            .collect();
+        // Staged flat and collected once: no per-element copy-on-write.
+        let mut node_to_index = vec![NodeId::from_index(0); data_nodes];
         let mut blocks = BlockStore::with_capacity(labels.len());
         for ((label, k), mut extent) in labels.into_iter().zip(similarity).zip(extents) {
             extent.sort_unstable();
@@ -159,7 +159,7 @@ impl IndexGraph {
         }
         IndexGraph {
             blocks,
-            node_to_index,
+            node_to_index: node_to_index.into_iter().collect(),
             interner: Arc::new(interner),
             root: NodeId::from_index(0),
             edge_count: 0,
@@ -283,12 +283,20 @@ impl IndexGraph {
     }
 
     /// Add an index edge, deduplicating. Returns true if newly added.
+    ///
+    /// `to`'s parent list is kept sorted ascending — the order
+    /// [`read_index`](crate::store::read_index) rebuilds it in — so a fresh
+    /// index and its snapshot-loaded copy walk parents identically and
+    /// later splits (promotion) agree byte for byte.
     pub fn add_index_edge(&mut self, from: NodeId, to: NodeId) -> bool {
         if self.block(from).children.contains(&to) {
             return false;
         }
         self.block_mut(from).children.push(to);
-        self.block_mut(to).parents.push(from);
+        let parents = &mut self.block_mut(to).parents;
+        if let Err(pos) = parents.binary_search(&from) {
+            parents.insert(pos, from);
+        }
         self.edge_count += 1;
         self.version += 1;
         true
@@ -389,8 +397,9 @@ impl IndexGraph {
         let children = std::mem::take(&mut self.block_mut(inode).children);
         for c in children {
             if let Some(neighbor) = self.blocks.make_mut(c.index()) {
-                if let Some(pos) = neighbor.parents.iter().position(|&p| p == inode) {
-                    neighbor.parents.swap_remove(pos);
+                // `remove`, not `swap_remove`: parents stay sorted.
+                if let Ok(pos) = neighbor.parents.binary_search(&inode) {
+                    neighbor.parents.remove(pos);
                     self.edge_count -= 1;
                 }
             }

@@ -43,10 +43,12 @@
 //!   instead of a panic in the caller's thread.
 //!
 //! * **Delta publish**: `DkIndex` and `DataGraph` are copy-on-write
-//!   snapshots (`Arc`-per-block index storage, segment-shared adjacency), so
-//!   the `dk.clone()`/`data.clone()` at publish time copies only the blocks
-//!   and segments the batch actually touched; everything else is shared
-//!   pointer-identically with the previous epoch. The
+//!   snapshots (`Arc`-per-block index storage, adjacency in two-level
+//!   `SegVec` tries), so the `dk.clone()`/`data.clone()` at publish time
+//!   bumps one handle per block and one per 4,096-element column chunk, and
+//!   the batch copied only the blocks and leaves it actually touched;
+//!   everything else is shared pointer-identically with the previous
+//!   epoch. The
 //!   `serve.publish.blocks_shared` / `serve.publish.blocks_rebuilt` counters
 //!   record the split on every publish. See ARCHITECTURE.md §5 for the
 //!   delta-epoch diagram and the COW invariants.
@@ -904,9 +906,10 @@ fn maintenance_loop(
                 }
             }
             epoch_id += 1;
-            // `dk`/`data` are COW snapshots (Arc-shared blocks and
-            // segments), so these clones copy only what the batch above
-            // touched — the delta-epoch publish is O(touched), not O(index).
+            // `dk`/`data` are COW snapshots (Arc-shared blocks and column
+            // chunks), so these clones copy handles, never contents: one per
+            // block plus one per 4,096 column elements. The batch above
+            // copied only what it touched.
             let fresh = Arc::new(Epoch::new(
                 epoch_id,
                 ops_total,

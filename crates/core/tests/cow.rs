@@ -15,6 +15,7 @@
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
 use dkindex_core::{snapshot_bytes, DkIndex, IndexGraph, Requirements};
 use dkindex_datagen::{random_graph, RandomGraphConfig};
+use dkindex_graph::segvec::CHUNK_SIZE;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_workload::generate_update_edges;
 
@@ -214,4 +215,42 @@ fn server_publishes_delta_epochs() {
         expected,
         "delta-epoch serve run diverged from the serial oracle"
     );
+}
+
+/// On a graph spanning several 4,096-element chunks, one edge update
+/// diverges at most three leaves of the data graph's columns — the
+/// source's children, the target's parents and the edge list's tail — and
+/// every other leaf, whole chunks included, stays shared.
+#[test]
+fn single_edge_update_on_a_multi_chunk_graph_diverges_at_most_three_leaves() {
+    let g = random_graph(&RandomGraphConfig {
+        nodes: 2 * CHUNK_SIZE + 500,
+        labels: 8,
+        reference_edges: 400,
+        max_fanout: 6,
+        seed: 0xC4A2,
+    });
+    assert!(g.node_count() > CHUNK_SIZE);
+    let dk = DkIndex::build(&g, Requirements::uniform(2));
+    let op: Vec<ServeOp> = generate_update_edges(&g, 1, 5)
+        .into_iter()
+        .map(|(from, to)| ServeOp::AddEdge { from, to })
+        .collect();
+
+    let mut next_dk = dk.clone();
+    let mut next_g = g.clone();
+    apply_serial(&mut next_dk, &mut next_g, &op);
+    assert_eq!(
+        next_g.edge_count(),
+        g.edge_count() + 1,
+        "the update must add an edge"
+    );
+
+    let (shared, total) = next_g.shared_segments_with(&g);
+    assert!(
+        total - shared <= 3,
+        "one edge diverged {} of {total} leaves",
+        total - shared
+    );
+    assert_sharing_contract(dk.index(), next_dk.index(), "multi-chunk edge");
 }

@@ -359,3 +359,30 @@ fn v1_golden_bytes_decode_and_replay_identically_to_v2() {
         "v1 and v2 encodings of the same stream must replay identically"
     );
 }
+
+/// A freshly built index and its snapshot-loaded copy must evolve
+/// identically: the loader rebuilds every block's parent list in ascending
+/// order, so the fresh index has to keep the same canonical order through
+/// edge updates, or a later promotion splits the two copies differently.
+#[test]
+fn fresh_and_snapshot_loaded_indexes_promote_identically() {
+    let g = dkindex_datagen::xmark_graph(&dkindex_datagen::XmarkConfig::scale(0.02));
+    let fresh = DkIndex::build(&g, Requirements::uniform(1));
+    let (loaded, loaded_g) =
+        read_snapshot(&snapshot_bytes(&fresh, &g)).expect("pristine snapshot must load");
+
+    let mut ops: Vec<ServeOp> = dkindex_workload::generate_update_edges(&g, 40, 12)
+        .into_iter()
+        .map(|(from, to)| ServeOp::AddEdge { from, to })
+        .collect();
+    ops.push(ServeOp::SetRequirements(Requirements::uniform(3)));
+
+    let (mut fresh_dk, mut fresh_g) = (fresh, g);
+    apply_serial(&mut fresh_dk, &mut fresh_g, &ops);
+    let (mut loaded_dk, mut loaded_g) = (loaded, loaded_g);
+    apply_serial(&mut loaded_dk, &mut loaded_g, &ops);
+    assert!(
+        snapshot_bytes(&fresh_dk, &fresh_g) == snapshot_bytes(&loaded_dk, &loaded_g),
+        "fresh and snapshot-loaded indexes diverged after updates + promotion"
+    );
+}

@@ -127,10 +127,11 @@ impl ExactSizeIterator for NodeIds {}
 ///
 /// All per-node and per-edge state lives in [`SegVec`] columns and the label
 /// interner behind an [`Arc`], so `clone()` is a shallow copy-on-write
-/// snapshot: two clones share every adjacency segment until one of them
-/// mutates a node in it. This is what lets the serve layer publish a fresh
-/// epoch after a maintenance batch by copying only the segments the batch
-/// touched (see `core::serve`).
+/// snapshot costing one handle per 4,096 elements of each column: two
+/// clones share every adjacency leaf until one of them mutates a node in
+/// it. This is what lets the serve layer publish a fresh epoch after a
+/// maintenance batch by copying only the leaves the batch touched (see
+/// `core::serve`).
 #[derive(Clone)]
 pub struct DataGraph {
     labels_of_nodes: SegVec<LabelId>,
@@ -157,6 +158,30 @@ impl DataGraph {
         g.children.push(Vec::new());
         g.parents.push(Vec::new());
         g
+    }
+
+    /// Assemble a graph from plain per-node and per-edge columns, collecting
+    /// each into its copy-on-write column in one pass (bulk loaders stage
+    /// columns here instead of paying a COW `push` per element). The caller
+    /// guarantees the columns describe a valid graph rooted at node 0:
+    /// equal per-node lengths, in-range ids, and adjacency that matches
+    /// `edges` without parallel edges.
+    pub(crate) fn from_columns(
+        interner: LabelInterner,
+        labels: Vec<LabelId>,
+        children: Vec<Vec<NodeId>>,
+        parents: Vec<Vec<NodeId>>,
+        edges: Vec<(NodeId, NodeId, EdgeKind)>,
+    ) -> Self {
+        debug_assert!(labels.len() == children.len() && labels.len() == parents.len());
+        DataGraph {
+            labels_of_nodes: labels.into_iter().collect(),
+            children: children.into_iter().collect(),
+            parents: parents.into_iter().collect(),
+            edges: edges.into_iter().collect(),
+            root: NodeId(0),
+            interner: Arc::new(interner),
+        }
     }
 
     /// Intern a label string in this graph's interner. When the interner is
@@ -238,10 +263,10 @@ impl DataGraph {
     }
 
     /// Structural-sharing census against another snapshot of this graph:
-    /// `(shared, total)` backing segments across the label, adjacency and
-    /// edge columns, where a segment counts as shared when both snapshots
-    /// still reference the same allocation. Diagnostics only — contents are
-    /// never affected by sharing.
+    /// `(shared, total)` backing leaves (64-element segments) across the
+    /// label, adjacency and edge columns, where a leaf counts as shared when
+    /// both snapshots still reference the same allocation. Diagnostics
+    /// only — contents are never affected by sharing.
     pub fn shared_segments_with(&self, other: &DataGraph) -> (usize, usize) {
         let shared = self.labels_of_nodes.shared_segments_with(&other.labels_of_nodes)
             + self.children.shared_segments_with(&other.children)

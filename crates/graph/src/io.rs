@@ -15,6 +15,7 @@
 //! header are errors, never silent truncation.
 
 use crate::graph::{DataGraph, EdgeKind, LabeledGraph, NodeId};
+use crate::label::{LabelId, LabelInterner};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -131,7 +132,7 @@ pub fn read_graph_allow_trailing<R: Read>(r: &mut R) -> Result<DataGraph, ReadEr
     if label_count < 2 {
         return Err(corrupt("label table must contain ROOT and VALUE"));
     }
-    let mut g = DataGraph::new();
+    let mut interner = LabelInterner::new();
     for i in 0..label_count {
         let name = read_str(r)?;
         match i {
@@ -139,7 +140,7 @@ pub fn read_graph_allow_trailing<R: Read>(r: &mut R) -> Result<DataGraph, ReadEr
             1 if name != "VALUE" => return Err(corrupt("label 1 must be VALUE")),
             _ => {}
         }
-        let id = g.intern(&name);
+        let id = interner.intern(&name);
         if id.index() != i {
             return Err(corrupt(format!("duplicate label {name:?}")));
         }
@@ -148,19 +149,25 @@ pub fn read_graph_allow_trailing<R: Read>(r: &mut R) -> Result<DataGraph, ReadEr
     if node_count == 0 {
         return Err(corrupt("graph has no root node"));
     }
+    // The columns are staged as plain vectors and collected into the
+    // graph's copy-on-write columns once at the end. They grow as records
+    // arrive and are never pre-sized from a count read from the stream: a
+    // corrupted count must fail on EOF, not abort on allocation.
+    let mut labels = Vec::new();
     for i in 0..node_count {
         let label = read_u32(r)? as usize;
         if label >= label_count {
             return Err(corrupt(format!("node {i}: label id {label} out of range")));
         }
-        if i == 0 {
-            if label != 0 {
-                return Err(corrupt("node 0 must carry the ROOT label"));
-            }
-            continue; // the root already exists
+        if i == 0 && label != 0 {
+            return Err(corrupt("node 0 must carry the ROOT label"));
         }
-        g.add_node(crate::label::LabelId::from_index(label));
+        labels.push(LabelId::from_index(label));
     }
+    // Sized by the node records actually read, not by a count field.
+    let mut children: Vec<Vec<NodeId>> = vec![Vec::new(); labels.len()];
+    let mut parents: Vec<Vec<NodeId>> = vec![Vec::new(); labels.len()];
+    let mut edges = Vec::new();
     let edge_count = read_u32(r)? as usize;
     for _ in 0..edge_count {
         let from = read_u32(r)? as usize;
@@ -175,9 +182,18 @@ pub fn read_graph_allow_trailing<R: Read>(r: &mut R) -> Result<DataGraph, ReadEr
             1 => EdgeKind::Reference,
             other => return Err(corrupt(format!("unknown edge kind {other}"))),
         };
-        g.add_edge(NodeId::from_index(from), NodeId::from_index(to), kind);
+        // Parallel edges are dropped, as `DataGraph::add_edge` does.
+        let (from, to) = (NodeId::from_index(from), NodeId::from_index(to));
+        if children[from.index()].contains(&to) {
+            continue;
+        }
+        children[from.index()].push(to);
+        parents[to.index()].push(from);
+        edges.push((from, to, kind));
     }
-    Ok(g)
+    Ok(DataGraph::from_columns(
+        interner, labels, children, parents, edges,
+    ))
 }
 
 #[cfg(test)]

@@ -15,8 +15,9 @@
 //!   (the raw material of the k-bisimilarity properties).
 //! * [`Marks`] — epoch-stamped visited flags shared by every hot traversal
 //!   loop in the workspace (O(1) clear, zero steady-state allocation).
-//! * [`SegVec`] — the persistent, segment-shared vector backing
-//!   [`DataGraph`] storage, so cloning a graph is a copy-on-write snapshot
+//! * [`SegVec`] — the persistent two-level trie (64-element leaves in
+//!   4,096-element chunks) backing [`DataGraph`] storage, so cloning a
+//!   graph is a copy-on-write snapshot
 //!   (the delta-epoch publish path in `dkindex-core` builds on this).
 //! * [`dot`] — GraphViz export in the style of the paper's Figure 1.
 //! * [`stats`] — dataset shape reporting for the experiment harness.

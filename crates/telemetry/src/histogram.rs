@@ -146,21 +146,27 @@ impl Histogram {
 
     /// Upper bound of the bucket where the cumulative count first reaches
     /// `q` (0.0–1.0) of all observations — a log2-resolution quantile
-    /// estimate. `None` if the histogram is empty.
+    /// estimate, clamped to the observed `[min, max]` so it never reports
+    /// more than the largest value recorded. `None` if the histogram is
+    /// empty.
     pub fn quantile_upper_bound(&self, q: f64) -> Option<u64> {
         let total = self.count();
         if total == 0 {
             return None;
         }
+        // A concurrent `record` may have bumped `count` before `min`/`max`;
+        // ordering `lo ≤ hi` keeps the clamp well-defined either way.
+        let hi = self.max.load(Ordering::Relaxed);
+        let lo = self.min.load(Ordering::Relaxed).min(hi);
         let target = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
         let mut cumulative = 0u64;
         for i in 0..BUCKETS {
             cumulative += self.bucket(i);
             if cumulative >= target {
-                return Some(bucket_upper_bound(i));
+                return Some(bucket_upper_bound(i).clamp(lo, hi));
             }
         }
-        Some(u64::MAX)
+        Some(hi)
     }
 
     /// Clear every bucket and the sum/count/min/max trackers.
@@ -238,7 +244,9 @@ mod tests {
         crate::disable();
         assert_eq!(TEST_HIST.quantile_upper_bound(0.5), Some(1));
         assert_eq!(TEST_HIST.quantile_upper_bound(0.99), Some(1));
-        assert_eq!(TEST_HIST.quantile_upper_bound(1.0), Some(1023));
+        // The 1000 sits in bucket [512, 1023]; the estimate is clamped to
+        // the observed maximum.
+        assert_eq!(TEST_HIST.quantile_upper_bound(1.0), Some(1000));
         TEST_HIST.reset();
         assert_eq!(TEST_HIST.quantile_upper_bound(0.5), None);
     }
