@@ -15,7 +15,9 @@
 //!   degradation          cost vs update count, with/without periodic promotion (D1)
 //!   length-sweep         cost by query length per index (D2)
 //!   bench-smoke          before/after perf check (arena evaluator, refinement
-//!                        engine); writes BENCH_eval.json
+//!                        engine) plus the D(k) snapshot save/load times;
+//!                        writes BENCH_eval.json, exits nonzero if the
+//!                        snapshot does not round-trip byte for byte
 //!   verify-faults        fault-injection sweep: bit-flip every snapshot byte,
 //!                        truncate snapshot and WAL everywhere; exits nonzero
 //!                        on any panic or silently accepted corruption
@@ -454,6 +456,13 @@ fn run_bench_smoke(opts: &Options) {
         );
     }
 
+    let snapshot = perf::bench_snapshot(&data, &reqs, &cfg);
+    println!(
+        "snapshot: D(k) index {} bytes | save {:.2} ms | load {:.2} ms | \
+         byte-identical round trip: {}",
+        snapshot.bytes, snapshot.save_ms, snapshot.load_ms, snapshot.round_trip,
+    );
+
     let serve = perf::bench_serve(&data, workload.queries(), &reqs, &cfg, opts.seed);
     println!(
         "serve: {} readers x {} rounds over {} update(s) in {} epoch(s): \
@@ -508,6 +517,7 @@ fn run_bench_smoke(opts: &Options) {
         &eval,
         &builds,
         &perf::ServingSections {
+            snapshot: &snapshot,
             serve: &serve,
             churn: &churn,
             net: &net_res,
@@ -541,6 +551,10 @@ fn run_bench_smoke(opts: &Options) {
 
     if !eval.identical || builds.iter().any(|b| !b.identical) {
         eprintln!("FAIL: before/after paths disagree");
+        std::process::exit(1);
+    }
+    if !snapshot.round_trip {
+        eprintln!("FAIL: snapshot of the D(k) index did not round-trip byte for byte");
         std::process::exit(1);
     }
     if !serve.deterministic {

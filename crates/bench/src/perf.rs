@@ -13,9 +13,9 @@
 
 use dkindex_core::dk::{dk_partition_reference, dk_partition_with_engine};
 use dkindex_core::{
-    apply_serial, evaluate_workload_parallel, snapshot_bytes, AdaptiveTuner, AkIndex, DkIndex,
-    DkServer, IndexEvalOutcome, IndexEvaluator, IndexGraph, Requirements, ServeConfig, ServeOp,
-    TunerConfig,
+    apply_serial, evaluate_workload_parallel, read_snapshot, snapshot_bytes, AdaptiveTuner,
+    AkIndex, DkIndex, DkServer, IndexEvalOutcome, IndexEvaluator, IndexGraph, Requirements,
+    ServeConfig, ServeOp, TunerConfig,
 };
 use dkindex_graph::DataGraph;
 use dkindex_partition::{k_bisimulation, RefineEngine};
@@ -220,6 +220,40 @@ pub fn bench_dk_build(
         speedup: baseline_ms / best.max(f64::MIN_POSITIVE),
         identical,
         blocks: ref_p.block_count(),
+    }
+}
+
+/// Snapshot save and load of one D(k) index: the cold-start path a server
+/// pays between `dkindex build` and `dkindex serve`.
+#[derive(Clone, Debug)]
+pub struct SnapshotBenchResult {
+    /// Snapshot size in bytes.
+    pub bytes: usize,
+    /// Best-of-repeats [`snapshot_bytes`] time (serialize + checksum), ms.
+    pub save_ms: f64,
+    /// Best-of-repeats [`read_snapshot`] time (checksum, decode and the
+    /// invariant check), ms.
+    pub load_ms: f64,
+    /// `snapshot_bytes(read_snapshot(bytes)) == bytes`.
+    pub round_trip: bool,
+}
+
+/// Benchmark the snapshot round trip of the D(k) index built for `reqs`.
+/// A load failure counts as a failed round trip.
+pub fn bench_snapshot(
+    data: &DataGraph,
+    reqs: &Requirements,
+    cfg: &PerfConfig,
+) -> SnapshotBenchResult {
+    let dk = DkIndex::build(data, reqs.clone());
+    let (save_ms, bytes) = time_best(cfg.repeats, || snapshot_bytes(&dk, data));
+    let (load_ms, loaded) = time_best(cfg.repeats, || read_snapshot(&bytes));
+    let round_trip = loaded.is_ok_and(|(dk, data)| snapshot_bytes(&dk, &data) == bytes);
+    SnapshotBenchResult {
+        bytes: bytes.len(),
+        save_ms,
+        load_ms,
+        round_trip,
     }
 }
 
@@ -650,6 +684,8 @@ pub fn metrics_to_json(
 /// The serving-layer result sections [`to_json`] renders after the
 /// eval/construction sections.
 pub struct ServingSections<'a> {
+    /// Cold-start snapshot save/load of the served index (`bench_snapshot`).
+    pub snapshot: &'a SnapshotBenchResult,
     /// Concurrent serve bench (`bench_serve`).
     pub serve: &'a ServeBenchResult,
     /// Sustained-churn bench (`bench_churn`).
@@ -672,6 +708,7 @@ pub fn to_json(
     sections: &ServingSections<'_>,
 ) -> String {
     let ServingSections {
+        snapshot,
         serve,
         churn,
         net,
@@ -716,6 +753,11 @@ pub fn to_json(
         ));
     }
     s.push_str("  ],\n");
+    s.push_str(&format!(
+        "  \"snapshot\": {{ \"bytes\": {}, \"snapshot_save_ms\": {:.3}, \
+         \"snapshot_load_ms\": {:.3}, \"round_trip_identical\": {} }},\n",
+        snapshot.bytes, snapshot.save_ms, snapshot.load_ms, snapshot.round_trip
+    ));
     s.push_str("  \"serve\": {\n");
     s.push_str(&format!("    \"readers\": {},\n", serve.readers));
     s.push_str(&format!("    \"rounds\": {},\n", serve.rounds));
@@ -855,7 +897,10 @@ mod tests {
         };
         let tuning = crate::tuning::bench_tuning(&data, &cfg, &tune_cfg, 7);
         assert!(tuning.gate_ok(), "tuning gate failed: {tuning:?}");
+        let snapshot = bench_snapshot(&data, &reqs, &cfg);
+        assert!(snapshot.round_trip, "snapshot did not round-trip byte for byte");
         let sections = ServingSections {
+            snapshot: &snapshot,
             serve: &serve,
             churn: &churn,
             net: &net,
@@ -865,6 +910,7 @@ mod tests {
         let json = to_json("xmark-test", &cfg, &eval, &builds, &sections);
         assert!(json.contains("\"identical_outcomes\": true"));
         assert!(json.contains("\"identical_partition\": true"));
+        assert!(json.contains("\"round_trip_identical\": true"), "{json}");
         assert!(json.contains("\"serve\""), "{json}");
         assert!(json.contains("\"churn\""), "{json}");
         assert!(json.contains("\"net\""), "{json}");

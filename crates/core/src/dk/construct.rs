@@ -11,9 +11,10 @@
 use crate::dk::broadcast::broadcast_requirements;
 use crate::index_graph::IndexGraph;
 use crate::requirements::Requirements;
-use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
+use dkindex_graph::{DataGraph, LabelId, LabelInterner, LabeledGraph, NodeId};
 use dkindex_partition::{Partition, RefineEngine};
 use dkindex_telemetry as telemetry;
+use std::sync::Arc;
 
 /// Compute the D(k) partition of `g` together with the per-block local
 /// similarity (the broadcast-adjusted requirement). Generic over
@@ -50,6 +51,21 @@ pub fn dk_partition_with_engine<G: LabeledGraph + Sync>(
     engine: &mut RefineEngine,
 ) -> (Partition, Vec<usize>) {
     let span = telemetry::Span::start(&telemetry::metrics::DK_CONSTRUCT_NS);
+    let (p, block_req) = selective_rounds(&ParentCsr::new(g), reqs, use_broadcast, engine);
+    drop(span);
+    telemetry::metrics::DK_CONSTRUCTIONS.incr();
+    telemetry::metrics::DK_BLOCKS_PER_CONSTRUCTION.record(p.block_count() as u64);
+    (p, block_req)
+}
+
+/// The body of Algorithm 2 on any graph view: label split, broadcast, then
+/// one selective refinement round per level up to the largest requirement.
+fn selective_rounds<G: LabeledGraph + Sync>(
+    g: &G,
+    reqs: &Requirements,
+    use_broadcast: bool,
+    engine: &mut RefineEngine,
+) -> (Partition, Vec<usize>) {
     let p0 = Partition::by_label(g);
     let table = reqs.resolve(g.labels());
     let mut block_req: Vec<usize> = p0
@@ -77,11 +93,79 @@ pub fn dk_partition_with_engine<G: LabeledGraph + Sync>(
         }
         p = next;
     }
-    drop(span);
-    telemetry::metrics::DK_CONSTRUCTIONS.incr();
     telemetry::metrics::DK_CONSTRUCT_ROUNDS.add(k_max as u64);
-    telemetry::metrics::DK_BLOCKS_PER_CONSTRUCTION.record(p.block_count() as u64);
     (p, block_req)
+}
+
+/// A read-only view of `graph` whose parent lists are copied once into one
+/// contiguous compressed-sparse-row array: node `i`'s parents are
+/// `ids[offsets[i]..offsets[i + 1]]`, in the graph's own order. Every
+/// refinement round scans the parents of every node; on a [`DataGraph`]
+/// each list sits behind its own heap pointer inside the copy-on-write
+/// columns, so a round would chase one pointer per node. The view costs
+/// about 4·(E + n) bytes and lives only for one construction. Labels,
+/// children and the root are read through to `graph` unchanged, so the
+/// partition computed on the view is the one computed on `graph`.
+struct ParentCsr<'g, G> {
+    graph: &'g G,
+    offsets: Vec<u32>,
+    ids: Vec<NodeId>,
+}
+
+impl<'g, G: LabeledGraph> ParentCsr<'g, G> {
+    fn new(graph: &'g G) -> Self {
+        let n = graph.node_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut ids = Vec::with_capacity(graph.edge_count());
+        offsets.push(0);
+        for node in graph.node_ids() {
+            ids.extend_from_slice(graph.parents_of(node));
+            offsets.push(u32::try_from(ids.len()).expect("parent lists exceed u32 offsets"));
+        }
+        ParentCsr {
+            graph,
+            offsets,
+            ids,
+        }
+    }
+}
+
+impl<G: LabeledGraph> LabeledGraph for ParentCsr<'_, G> {
+    #[inline]
+    fn node_count(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    #[inline]
+    fn edge_count(&self) -> usize {
+        self.graph.edge_count()
+    }
+
+    #[inline]
+    fn label_of(&self, node: NodeId) -> LabelId {
+        self.graph.label_of(node)
+    }
+
+    #[inline]
+    fn children_of(&self, node: NodeId) -> &[NodeId] {
+        self.graph.children_of(node)
+    }
+
+    #[inline]
+    fn parents_of(&self, node: NodeId) -> &[NodeId] {
+        let i = node.index();
+        &self.ids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    #[inline]
+    fn root(&self) -> NodeId {
+        self.graph.root()
+    }
+
+    #[inline]
+    fn labels(&self) -> &LabelInterner {
+        self.graph.labels()
+    }
 }
 
 /// Re-index `base` (an index graph treated as a data graph, per Theorem 2)
@@ -109,10 +193,14 @@ pub(crate) fn reindex_dk(base: &IndexGraph, reqs: &Requirements) -> IndexGraph {
 
 /// The D(k)-index: an adaptive structural summary whose per-node local
 /// similarities follow the query load (paper §4).
+///
+/// The requirements sit behind an [`Arc`]: they change only when the index
+/// is re-tuned, so an epoch publish clones a handle instead of the whole
+/// label table.
 #[derive(Clone, Debug)]
 pub struct DkIndex {
     index: IndexGraph,
-    requirements: Requirements,
+    requirements: Arc<Requirements>,
 }
 
 impl DkIndex {
@@ -135,7 +223,7 @@ impl DkIndex {
         let (p, sims) = dk_partition_with_engine(data, &requirements, true, engine);
         DkIndex {
             index: IndexGraph::from_data_partition(data, &p, sims),
-            requirements,
+            requirements: Arc::new(requirements),
         }
     }
 
@@ -154,7 +242,7 @@ impl DkIndex {
     pub(crate) fn from_parts(index: IndexGraph, requirements: Requirements) -> Self {
         DkIndex {
             index,
-            requirements,
+            requirements: Arc::new(requirements),
         }
     }
 
@@ -180,7 +268,7 @@ impl DkIndex {
 
     /// Update the stored requirements (demote/promote bookkeeping).
     pub(crate) fn set_requirements(&mut self, reqs: Requirements) {
-        self.requirements = reqs;
+        self.requirements = Arc::new(reqs);
     }
 
     /// Number of index nodes (the paper's index size).
@@ -334,6 +422,48 @@ mod tests {
         let p = dk.index().to_partition();
         assert!(p.is_refinement_of(&a0));
         assert!(fix.is_refinement_of(&p));
+    }
+
+    /// Requirements drawn per label from `seed`, over `g`'s labels.
+    fn seeded_requirements(g: &DataGraph, seed: u64) -> Requirements {
+        let names: Vec<String> = g.labels().iter().map(|(_, n)| n.to_string()).collect();
+        Requirements::from_pairs(
+            names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| (n.as_str(), ((seed as usize).wrapping_mul(31) + i * 7) % 4)),
+        )
+    }
+
+    #[test]
+    fn parent_csr_view_yields_the_plain_graph_partition() {
+        use dkindex_datagen::{random_graph, RandomGraphConfig};
+        for seed in 0..12u64 {
+            let g = random_graph(&RandomGraphConfig {
+                nodes: 150,
+                labels: 4,
+                reference_edges: 40,
+                seed,
+                ..RandomGraphConfig::default()
+            });
+            let view = ParentCsr::new(&g);
+            for node in g.node_ids() {
+                assert_eq!(view.parents_of(node), g.parents_of(node), "seed {seed}");
+            }
+            let reqs = seeded_requirements(&g, seed);
+            let plain = selective_rounds(&g, &reqs, true, &mut RefineEngine::new());
+            let csr = selective_rounds(&view, &reqs, true, &mut RefineEngine::new());
+            assert_eq!(plain, csr, "seed {seed}: data graph");
+
+            // The re-index path: an index graph treated as a data graph.
+            let built = DkIndex::build(&g, reqs);
+            let retuned = seeded_requirements(&g, seed + 1);
+            let index = built.index();
+            let plain = selective_rounds(index, &retuned, true, &mut RefineEngine::new());
+            let csr =
+                selective_rounds(&ParentCsr::new(index), &retuned, true, &mut RefineEngine::new());
+            assert_eq!(plain, csr, "seed {seed}: index graph");
+        }
     }
 
     #[test]

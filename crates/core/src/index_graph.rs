@@ -474,24 +474,40 @@ impl IndexGraph {
         if let Some(i) = seen.iter().position(|&s| !s) {
             return Err(format!("data node n{i} not covered by any extent"));
         }
-        // 3. Every data edge appears; every index edge is witnessed.
-        for &(from, to, _) in data.edges() {
-            let (fi, ti) = (self.index_of(from), self.index_of(to));
-            if !self.children_of(fi).contains(&ti) {
-                return Err(format!("missing index edge {fi:?}->{ti:?}"));
-            }
-        }
+        // 3. Every data edge appears; every index edge is witnessed. One
+        // stamped pass per index node `a`: `is_child[b] == a` marks a's
+        // index children, `witnessed[b] == a` marks the blocks its extent's
+        // data edges reach. O(E + index edges) over the whole index.
+        let size = self.size();
+        let mut is_child = vec![usize::MAX; size];
+        let mut witnessed = vec![usize::MAX; size];
+        let mut unwitnessed = None;
         for a in self.node_ids() {
+            let stamp = a.index();
             for &b in self.children_of(a) {
-                let witnessed = self.extent(a).iter().any(|&u| {
-                    data.children_of(u)
-                        .iter()
-                        .any(|&v| self.index_of(v) == b)
-                });
-                if !witnessed {
-                    return Err(format!("unwitnessed index edge {a:?}->{b:?}"));
+                if let Some(slot) = is_child.get_mut(b.index()) {
+                    *slot = stamp;
                 }
             }
+            for &u in self.extent(a) {
+                for &v in data.children_of(u) {
+                    let b = self.index_of(v);
+                    if is_child.get(b.index()) != Some(&stamp) {
+                        return Err(format!("missing index edge {a:?}->{b:?}"));
+                    }
+                    witnessed[b.index()] = stamp;
+                }
+            }
+            if unwitnessed.is_none() {
+                unwitnessed = self
+                    .children_of(a)
+                    .iter()
+                    .find(|b| witnessed.get(b.index()) != Some(&stamp))
+                    .map(|b| format!("unwitnessed index edge {a:?}->{b:?}"));
+            }
+        }
+        if let Some(e) = unwitnessed {
+            return Err(e);
         }
         // 4. Structural constraint.
         for a in self.node_ids() {

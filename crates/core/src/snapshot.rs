@@ -448,6 +448,7 @@ pub fn load_index_bytes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index_graph::IndexGraph;
     use dkindex_graph::EdgeKind;
 
     fn sample() -> (DataGraph, DkIndex) {
@@ -477,6 +478,75 @@ mod tests {
         assert_eq!(bytes[4..8], 1u32.to_le_bytes());
         assert_eq!(bytes[8..12], 3u32.to_le_bytes());
         assert_eq!(bytes[12..16], *b"REQS");
+    }
+
+    /// A loaded index over a random graph with reference edges, and the
+    /// graph it was loaded with.
+    fn loaded_random() -> (DkIndex, DataGraph) {
+        use dkindex_datagen::{random_graph, RandomGraphConfig};
+        let g = random_graph(&RandomGraphConfig {
+            nodes: 40,
+            labels: 3,
+            reference_edges: 12,
+            seed: 13,
+            ..RandomGraphConfig::default()
+        });
+        let dk = DkIndex::build(&g, Requirements::uniform(1));
+        read_snapshot(&snapshot_bytes(&dk, &g)).unwrap()
+    }
+
+    /// `check_invariants` and strict loading both reject `index`, each
+    /// with an error naming `kind`.
+    fn assert_rejected(index: IndexGraph, dk: &DkIndex, data: &DataGraph, kind: &str) {
+        let err = index.check_invariants(data).unwrap_err();
+        assert!(err.contains(kind), "{err}");
+        let doctored = DkIndex::from_parts(index, dk.requirements().clone());
+        match read_snapshot(&snapshot_bytes(&doctored, data)) {
+            Err(SnapshotError::Section { tag, reason }) => {
+                assert_eq!(tag, TAG_INDX);
+                assert!(reason.contains(kind), "{reason}");
+            }
+            other => panic!("strict load accepted a broken index: {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn every_dropped_index_edge_is_rejected() {
+        let (dk, data) = loaded_random();
+        let mut payload = Vec::new();
+        store::write_index(dk.index(), &mut payload).unwrap();
+        // The payload ends with: u32 edge count, 8-byte edge records, u32 root.
+        let edges = dk.index().edge_count();
+        let start = payload.len() - 4 - 8 * edges;
+        assert!(edges > 10);
+        for skip in 0..edges {
+            let mut doctored = payload[..start - 4].to_vec();
+            doctored.extend_from_slice(&(edges as u32 - 1).to_le_bytes());
+            doctored.extend_from_slice(&payload[start..start + 8 * skip]);
+            doctored.extend_from_slice(&payload[start + 8 * (skip + 1)..]);
+            let index = store::read_index(&mut doctored.as_slice(), data.node_count()).unwrap();
+            assert_eq!(index.edge_count(), edges - 1);
+            assert_rejected(index, &dk, &data, "missing index edge");
+        }
+    }
+
+    #[test]
+    fn every_unwitnessed_index_edge_is_rejected() {
+        let (dk, data) = loaded_random();
+        let index = dk.index();
+        let mut checked = 0;
+        for a in index.node_ids() {
+            for b in index.node_ids() {
+                if index.children_of(a).contains(&b) {
+                    continue;
+                }
+                let mut doctored = index.clone();
+                doctored.add_index_edge(a, b);
+                assert_rejected(doctored, &dk, &data, "unwitnessed index edge");
+                checked += 1;
+            }
+        }
+        assert!(checked > 10);
     }
 
     #[test]
