@@ -69,6 +69,8 @@ pub fn default_config() -> RuleConfig {
             "dkindex_core::io_fail",
             "dkindex_core::tuner",
             "dkindex_core::mining",
+            "dkindex_core::eval",
+            "dkindex_pathexpr::eval",
             "dkindex_graph::segvec",
             "dkindex_server::protocol",
             "dkindex_server::conn",

@@ -78,7 +78,7 @@ fn collect_hash_names(file: &SourceFile) -> BTreeSet<String> {
         if toks[i].kind == TokKind::Ident
             && !KEYWORDS.contains(&toks[i].text.as_str())
             && toks.get(i + 1).is_some_and(|t| t.text == ":")
-            && type_window_mentions(toks, i + 2, &hash_types)
+            && type_window_mentions(toks, i + 2, &hash_types, true)
         {
             names.insert(toks[i].text.clone());
         }
@@ -90,7 +90,7 @@ fn collect_hash_names(file: &SourceFile) -> BTreeSet<String> {
             }
             if toks.get(j).is_some_and(|t| t.kind == TokKind::Ident)
                 && toks.get(j + 1).is_some_and(|t| t.text == "=")
-                && type_window_mentions(toks, j + 2, &hash_types)
+                && type_window_mentions(toks, j + 2, &hash_types, false)
             {
                 names.insert(toks[j].text.clone());
             }
@@ -100,15 +100,21 @@ fn collect_hash_names(file: &SourceFile) -> BTreeSet<String> {
     names
 }
 
-/// Does the token window starting at `start` (bounded by the statement's
-/// end) mention one of `hash_types`?
+/// Does the token window starting at `start` mention one of `hash_types`?
+///
+/// An initializer's window is the rest of its statement. An annotation's
+/// window (`annotation`) is its type alone: it also ends at a `,` or `=`
+/// outside any `<>`, `()` or `[]` nesting, so a struct field or parameter
+/// never inherits the type of the one declared after it.
 fn type_window_mentions(
     toks: &[crate::lexer::Tok],
     start: usize,
     hash_types: &BTreeSet<String>,
+    annotation: bool,
 ) -> bool {
     let mut depth = 0i32;
-    for t in toks.iter().skip(start).take(80) {
+    let mut angle = 0i32;
+    for (k, t) in toks.iter().enumerate().skip(start).take(80) {
         match t.text.as_str() {
             "(" | "[" | "{" => depth += 1,
             ")" | "]" | "}" => {
@@ -118,6 +124,10 @@ fn type_window_mentions(
                 }
             }
             ";" if depth == 0 => return false,
+            "<" if annotation => angle += 1,
+            // The `>` of a `->` closes nothing.
+            ">" if annotation && angle > 0 && toks[k - 1].text != "-" => angle -= 1,
+            "," | "=" if annotation && depth == 0 && angle == 0 => return false,
             _ if hash_types.contains(&t.text) => return true,
             _ => {}
         }
@@ -258,4 +268,52 @@ fn statement_restores_order(toks: &[crate::lexer::Tok], from: usize) -> bool {
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::path::PathBuf;
+
+    fn file(src: &str) -> SourceFile {
+        SourceFile::parse(PathBuf::from("x.rs"), "m".into(), "c".into(), src)
+    }
+
+    const FIELDS: &str = "struct S<'a> {\n\
+                          \x20   index: &'a Vec<u32>,\n\
+                          \x20   cb: fn(u32) -> u32,\n\
+                          \x20   memo: HashMap<u32, Vec<u32>>,\n\
+                          }\n";
+
+    #[test]
+    fn annotations_end_at_the_next_field_or_parameter() {
+        let src = format!("{FIELDS}fn f(order: Vec<u32>, seen: HashSet<u32>) {{}}\n");
+        let names = collect_hash_names(&file(&src));
+        for plain in ["index", "cb", "order"] {
+            assert!(!names.contains(plain), "{plain} is not hash-typed: {names:?}");
+        }
+        for hashed in ["memo", "seen"] {
+            assert!(names.contains(hashed), "{hashed} is hash-typed: {names:?}");
+        }
+    }
+
+    #[test]
+    fn a_loop_over_a_vec_field_declared_above_a_hash_field_is_not_flagged() {
+        let src = format!(
+            "{FIELDS}impl S<'_> {{\n\
+             \x20   fn walk(&self) {{\n\
+             \x20       for &n in self.index.iter() {{}}\n\
+             \x20       for (k, v) in &self.memo {{}}\n\
+             \x20   }}\n\
+             }}\n"
+        );
+        let config = RuleConfig {
+            determinism_scope: vec!["m".into()],
+            ..RuleConfig::default()
+        };
+        let mut findings = Vec::new();
+        check(&file(&src), &config, &mut findings);
+        let lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![9], "only the hash-map loop is flagged: {findings:?}");
+    }
 }

@@ -13,9 +13,13 @@
 //! index graph; `data_visits` counts activations during validation walks.
 //! Extent members of sound matches are not counted (per §6.1).
 //!
-//! Every [`IndexEvaluator::evaluate`] call feeds the `eval.*` telemetry
-//! metrics (queries, index/data visits, sound extents, validated queries,
-//! memo hits, per-query visit histogram and the `eval.query_ns` span);
+//! [`IndexEvaluator::evaluate`] and [`IndexEvaluator::evaluate_bounded`] are
+//! two entries to one body, generic over the `pathexpr` [`Budget`]: the
+//! unbounded entry runs it under the zero-cost [`Unlimited`], the bounded
+//! one under a [`VisitBudget`]. Every completed query feeds the `eval.*`
+//! telemetry metrics (queries, index/data visits, sound extents, validated
+//! queries, memo hits, per-query visit histogram and the `eval.query_ns`
+//! span); an aborted one bumps `eval.aborted_queries` instead;
 //! [`IndexEvaluator::evaluate_baseline`] is the retained §6.1 oracle and is
 //! deliberately uninstrumented.
 
@@ -23,9 +27,8 @@ use crate::index_graph::IndexGraph;
 use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_telemetry as telemetry;
 use dkindex_pathexpr::{
-    evaluate_baseline, evaluate_bounded_with, evaluate_with, matches_ending_at_baseline,
-    matches_ending_at_bounded_with, matches_ending_at_with, EvalArena, LabelIndex, Nfa, PathExpr,
-    VisitBudget,
+    evaluate_baseline, evaluate_with, matches_ending_at_baseline, matches_ending_at_with, Budget,
+    EvalArena, LabelIndex, Nfa, PathExpr, Unlimited, VisitBudget,
 };
 use std::collections::HashMap;
 
@@ -131,9 +134,59 @@ impl<'a> IndexEvaluator<'a> {
     /// Evaluate `expr` through the index, validating approximate matches
     /// against the data graph.
     pub fn evaluate(&mut self, expr: &PathExpr) -> IndexEvalOutcome {
+        let Ok(out) = self.run(expr, &mut Unlimited);
+        out
+    }
+
+    /// [`evaluate`](Self::evaluate) under a visit budget shared across the
+    /// index-graph phase and every validation walk.
+    ///
+    /// While the budget covers the query's cost, the outcome is identical to
+    /// the unbounded path (matches, cost *and* validated flag). Once the
+    /// budget runs out the query aborts with a typed [`QueryAborted`] —
+    /// partial results are discarded, never returned, because a truncated
+    /// match set would be silently wrong. Memoized validation verdicts
+    /// replay against the budget at their stored visit count, so bounded and
+    /// unbounded evaluation stay cost-identical; verdicts are stored only
+    /// for *completed* validations, so an aborted query never poisons the
+    /// memo.
+    ///
+    /// The abort's cost is what the budget actually charged: the index
+    /// share is the index phase's visit count, or everything charged if the
+    /// index phase itself ran out; the rest is validation.
+    pub fn evaluate_bounded(
+        &mut self,
+        expr: &PathExpr,
+        budget: u64,
+    ) -> Result<IndexEvalOutcome, QueryAborted> {
+        let mut remaining = VisitBudget::new(budget);
+        self.run(expr, &mut remaining).map_err(|(_, index_visits)| {
+            telemetry::metrics::EVAL_ABORTED_QUERIES.incr();
+            let spent = budget - remaining.remaining();
+            let index_visits = index_visits.unwrap_or(spent);
+            QueryAborted {
+                budget,
+                cost: QueryCost {
+                    index_visits,
+                    data_visits: spent - index_visits,
+                },
+            }
+        })
+    }
+
+    /// The index-then-validate body behind both entries, generic over the
+    /// budget. An abort returns the budget's error with the index phase's
+    /// visit count, `None` when the index phase itself ran out.
+    fn run<B: Budget>(
+        &mut self,
+        expr: &PathExpr,
+        budget: &mut B,
+    ) -> Result<IndexEvalOutcome, (B::Error, Option<u64>)> {
         let span = telemetry::Span::start(&telemetry::metrics::EVAL_QUERY_NS);
         let nfa = Nfa::compile(expr, self.index.labels());
-        let on_index = evaluate_with(self.index, &nfa, &self.index_labels, &mut self.arena);
+        let on_index = evaluate_with(self.index, &nfa, &self.index_labels, &mut self.arena, budget)
+            .map_err(|e| (e, None))?;
+        let index_visits = Some(on_index.visited);
 
         // Path length in edges (paper's "length m" for l1...l_{m+1}); an
         // unbounded expression (contains *) can never be certified sound.
@@ -166,6 +219,7 @@ impl<'a> IndexEvaluator<'a> {
             });
             if let Some((hits, visits)) = self.validation_memo.get(&(qid, inode)) {
                 // Replay: identical hits AND identical charged visits.
+                budget.charge(*visits, 0).map_err(|e| (e, index_visits))?;
                 telemetry::metrics::EVAL_MEMO_HITS.incr();
                 cost.data_visits += visits;
                 matches.extend_from_slice(hits);
@@ -177,132 +231,11 @@ impl<'a> IndexEvaluator<'a> {
             let mut visits = 0u64;
             for &candidate in self.index.extent(inode) {
                 let (hit, visited) =
-                    matches_ending_at_with(self.data, rev, candidate, &mut self.arena);
+                    matches_ending_at_with(self.data, rev, candidate, &mut self.arena, budget)
+                        .map_err(|e| (e, index_visits))?;
                 visits += visited;
                 if hit {
                     hits.push(candidate);
-                }
-            }
-            cost.data_visits += visits;
-            matches.extend_from_slice(&hits);
-            self.validation_memo.insert((qid, inode), (hits, visits));
-        }
-        matches.sort_unstable();
-        matches.dedup();
-
-        telemetry::metrics::EVAL_QUERIES.incr();
-        telemetry::metrics::EVAL_INDEX_VISITS.add(cost.index_visits);
-        telemetry::metrics::EVAL_DATA_VISITS.add(cost.data_visits);
-        if validated {
-            telemetry::metrics::EVAL_VALIDATED_QUERIES.incr();
-        }
-        telemetry::metrics::EVAL_VISITS_PER_QUERY.record(cost.total());
-        drop(span);
-
-        IndexEvalOutcome {
-            matches,
-            cost,
-            validated,
-        }
-    }
-
-    /// [`evaluate`](Self::evaluate) under a visit budget shared across the
-    /// index-graph phase and every validation walk.
-    ///
-    /// While the budget covers the query's cost, the outcome is identical to
-    /// the unbounded path (matches, cost *and* validated flag). Once the
-    /// budget runs out the query aborts with a typed [`QueryAborted`] —
-    /// partial results are discarded, never returned, because a truncated
-    /// match set would be silently wrong. Memoized validation verdicts
-    /// replay against the budget at their stored visit count, so bounded and
-    /// unbounded evaluation stay cost-identical; verdicts are stored only
-    /// for *completed* validations, so an aborted query never poisons the
-    /// memo.
-    pub fn evaluate_bounded(
-        &mut self,
-        expr: &PathExpr,
-        budget: u64,
-    ) -> Result<IndexEvalOutcome, QueryAborted> {
-        let span = telemetry::Span::start(&telemetry::metrics::EVAL_QUERY_NS);
-        let abort = |spent: QueryCost| {
-            telemetry::metrics::EVAL_ABORTED_QUERIES.incr();
-            QueryAborted { budget, cost: spent }
-        };
-        let mut remaining = VisitBudget::new(budget);
-        let nfa = Nfa::compile(expr, self.index.labels());
-        let on_index = match evaluate_bounded_with(
-            self.index,
-            &nfa,
-            &self.index_labels,
-            &mut self.arena,
-            &mut remaining,
-        ) {
-            Ok(out) => out,
-            Err(e) => {
-                return Err(abort(QueryCost {
-                    index_visits: e.visited,
-                    data_visits: 0,
-                }))
-            }
-        };
-
-        let required = expr.max_word_len().map(|labels| labels.saturating_sub(1));
-
-        let mut matches: Vec<NodeId> = Vec::new();
-        let mut cost = QueryCost {
-            index_visits: on_index.visited,
-            data_visits: 0,
-        };
-        let mut validated = false;
-        let mut reversed: Option<Nfa> = None;
-        let mut query_id: Option<u32> = None;
-
-        for inode in on_index.matches {
-            let sound = match required {
-                Some(m) => self.index.similarity(inode) >= m,
-                None => false,
-            };
-            if sound {
-                telemetry::metrics::EVAL_SOUND_EXTENTS.incr();
-                matches.extend_from_slice(self.index.extent(inode));
-                continue;
-            }
-            validated = true;
-            let qid = *query_id.get_or_insert_with(|| {
-                let next = self.query_ids.len() as u32;
-                *self.query_ids.entry(expr.to_string()).or_insert(next)
-            });
-            if let Some((hits, visits)) = self.validation_memo.get(&(qid, inode)) {
-                if !remaining.try_charge_many(*visits) {
-                    return Err(abort(cost));
-                }
-                telemetry::metrics::EVAL_MEMO_HITS.incr();
-                cost.data_visits += visits;
-                matches.extend_from_slice(hits);
-                continue;
-            }
-            let rev = reversed
-                .get_or_insert_with(|| Nfa::compile(expr, self.data.labels()).reverse());
-            let mut hits: Vec<NodeId> = Vec::new();
-            let mut visits = 0u64;
-            for &candidate in self.index.extent(inode) {
-                match matches_ending_at_bounded_with(
-                    self.data,
-                    rev,
-                    candidate,
-                    &mut self.arena,
-                    &mut remaining,
-                ) {
-                    Ok((hit, visited)) => {
-                        visits += visited;
-                        if hit {
-                            hits.push(candidate);
-                        }
-                    }
-                    Err(e) => {
-                        cost.data_visits += visits + e.visited;
-                        return Err(abort(cost));
-                    }
                 }
             }
             cost.data_visits += visits;
@@ -642,6 +575,34 @@ mod tests {
             .evaluate_bounded(&e, total)
             .expect("exact budget suffices");
         assert_eq!(ok, full);
+    }
+
+    /// An abort reports exactly what the budget charged, split at the
+    /// phase boundary: every visit up to the index phase's own cost is an
+    /// index visit, everything after it a validation visit.
+    #[test]
+    fn bounded_abort_cost_splits_at_the_index_phase() {
+        use dkindex_datagen::{xmark_graph, XmarkConfig};
+        let data = xmark_graph(&XmarkConfig::scale(0.002));
+        let dk = DkIndex::build(&data, Requirements::new()); // A(0)
+        let mut seen_validated = [false; 2];
+        for expr in ["item.name", "_._.keyword", "open_auction.bidder.increase", "item"] {
+            let e = parse(expr).unwrap();
+            let full = IndexEvaluator::new(dk.index(), &data).evaluate(&e);
+            seen_validated[usize::from(full.validated)] = true;
+            for limit in 0..full.cost.total() {
+                let aborted = IndexEvaluator::new(dk.index(), &data)
+                    .evaluate_bounded(&e, limit)
+                    .expect_err("budget below the query's cost must abort");
+                assert_eq!(aborted.cost.total(), limit, "{expr} at {limit}");
+                assert_eq!(
+                    aborted.cost.index_visits,
+                    limit.min(full.cost.index_visits),
+                    "{expr} at {limit}"
+                );
+            }
+        }
+        assert_eq!(seen_validated, [true, true], "both kinds of query are covered");
     }
 
     #[test]

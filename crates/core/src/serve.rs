@@ -70,6 +70,7 @@ use dkindex_graph::DataGraph;
 use dkindex_pathexpr::PathExpr;
 use dkindex_telemetry as telemetry;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -259,33 +260,9 @@ impl Epoch {
     }
 
     /// Evaluate `query` against this epoch, consulting the per-epoch memo
-    /// first. Exact with respect to this epoch's data graph. A poisoned memo
-    /// lock is recovered: the memo only ever holds fully-inserted answers,
-    /// so the map stays valid even if another reader panicked mid-query.
-    ///
-    /// The memo stores `Arc<IndexEvalOutcome>`, so a hit is one refcount
-    /// bump and the miss path pays exactly one clone (the query key for the
-    /// memo entry) — the outcome itself is never deep-copied.
+    /// first. Exact with respect to this epoch's data graph.
     pub fn evaluate(&self, query: &PathExpr) -> Arc<IndexEvalOutcome> {
-        telemetry::metrics::SERVE_QUERIES.incr();
-        if let Some(hit) = self
-            .memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(query)
-            .map(Arc::clone)
-        {
-            telemetry::metrics::SERVE_CACHE_HITS.incr();
-            self.observe(query, hit.validated, true);
-            return hit;
-        }
-        telemetry::metrics::SERVE_CACHE_MISSES.incr();
-        let out = Arc::new(IndexEvaluator::new(self.dk.index(), &self.data).evaluate(query));
-        self.observe(query, out.validated, false);
-        self.memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(query.clone(), Arc::clone(&out));
+        let Ok(out) = self.memoized(query, |ev| Ok::<_, Infallible>(ev.evaluate(query)));
         out
     }
 
@@ -301,6 +278,23 @@ impl Epoch {
         query: &PathExpr,
         budget: u64,
     ) -> Result<Arc<IndexEvalOutcome>, crate::eval::QueryAborted> {
+        self.memoized(query, |ev| ev.evaluate_bounded(query, budget))
+    }
+
+    /// The memo lookup behind both entries: a hit is returned as is, a miss
+    /// runs `miss` on a fresh evaluator over this epoch and memoizes the
+    /// answer only if it succeeded. A poisoned memo lock is recovered: the
+    /// memo only ever holds fully-inserted answers, so the map stays valid
+    /// even if another reader panicked mid-query.
+    ///
+    /// The memo stores `Arc<IndexEvalOutcome>`, so a hit is one refcount
+    /// bump and the miss path pays exactly one clone (the query key for the
+    /// memo entry) — the outcome itself is never deep-copied.
+    fn memoized<E>(
+        &self,
+        query: &PathExpr,
+        miss: impl FnOnce(&mut IndexEvaluator<'_>) -> Result<IndexEvalOutcome, E>,
+    ) -> Result<Arc<IndexEvalOutcome>, E> {
         telemetry::metrics::SERVE_QUERIES.incr();
         if let Some(hit) = self
             .memo
@@ -316,9 +310,7 @@ impl Epoch {
         telemetry::metrics::SERVE_CACHE_MISSES.incr();
         // An aborted probe is not recorded either: it answered nothing, so
         // it is no evidence of served load (and its outcome is unknown).
-        let out = Arc::new(
-            IndexEvaluator::new(self.dk.index(), &self.data).evaluate_bounded(query, budget)?,
-        );
+        let out = Arc::new(miss(&mut IndexEvaluator::new(self.dk.index(), &self.data))?);
         self.observe(query, out.validated, false);
         self.memo
             .lock()

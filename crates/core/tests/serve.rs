@@ -6,7 +6,9 @@
 //! * an N-thread serve run ends in exactly the state of a serial run over
 //!   the same op sequence — final snapshot bytes and all;
 //! * an interleaving stress run: readers race small-batch publishes and
-//!   every answer must be exact against the epoch it was computed on.
+//!   every answer must be exact against the epoch it was computed on;
+//! * the epoch memo: dropped on publish, never fed by an aborted bounded
+//!   probe, and free to hit under any budget.
 
 use dkindex_core::dk::{dk_partition_reference, dk_partition_with_engine};
 use dkindex_core::serve::{apply_serial, DkServer, ServeConfig, ServeOp};
@@ -18,6 +20,7 @@ use dkindex_graph::{DataGraph, LabeledGraph, NodeId};
 use dkindex_partition::RefineEngine;
 use dkindex_pathexpr::parse;
 use dkindex_workload::generate_update_edges;
+use std::sync::Arc;
 
 /// The engine only fans out above its internal threshold; byte-identity on
 /// smaller graphs would not exercise the parallel merge at all.
@@ -239,6 +242,29 @@ fn epoch_memo_is_dropped_on_publish() {
     assert_eq!(e1.evaluate(&q).matches, evaluate_on_data(e1.data(), &q).0);
     let (final_dk, final_g) = server.shutdown().unwrap();
     final_dk.index().check_invariants(&final_g).unwrap();
+}
+
+/// The epoch's budget contract: an aborted probe is not memoized, so a
+/// second probe under the same budget aborts again; once the query has been
+/// answered, a memo hit is free and returns the memoized `Arc` itself.
+#[test]
+fn epoch_bounded_probe_aborts_until_memoized_then_hits_free() {
+    let (g, dk, _) = serve_fixture();
+    let server = DkServer::start(g, dk, ServeConfig::default());
+    let q = parse("l1.l2").unwrap();
+    let epoch = server.handle().epoch();
+
+    let first = epoch.evaluate_bounded(&q, 0).expect_err("a zero budget cannot pay a miss");
+    assert_eq!(first.budget, 0);
+    epoch
+        .evaluate_bounded(&q, 0)
+        .expect_err("the aborted probe must not have been memoized");
+
+    let answered = epoch.evaluate(&q);
+    assert!(answered.cost.total() > 0, "the query costs visits on a miss");
+    let hit = epoch.evaluate_bounded(&q, 0).expect("a memo hit costs nothing");
+    assert!(Arc::ptr_eq(&answered, &hit), "the hit is the memoized answer");
+    server.shutdown().unwrap();
 }
 
 /// Regression for the typed serve-error surface (was: panics): after the

@@ -19,6 +19,7 @@
 use crate::nfa::{Nfa, StateId, Step};
 use dkindex_graph::{LabeledGraph, Marks, NodeId};
 use dkindex_telemetry as telemetry;
+use std::convert::Infallible;
 
 /// Label → nodes inverted index for one graph. Build once per graph (its
 /// construction is not charged to any query).
@@ -83,17 +84,22 @@ impl EvalArena {
 /// `label_index` must have been built from the same graph. Allocates scratch
 /// per call; batches should prefer [`evaluate_with`] and a shared arena.
 pub fn evaluate<G: LabeledGraph>(g: &G, nfa: &Nfa, label_index: &LabelIndex) -> EvalOutcome {
-    evaluate_with(g, nfa, label_index, &mut EvalArena::new())
+    let Ok(out) = evaluate_with(g, nfa, label_index, &mut EvalArena::new(), &mut Unlimited);
+    out
 }
 
-/// [`evaluate`] with caller-owned scratch: identical matches and visit
-/// counts, no steady-state allocation across a batch of queries.
-pub fn evaluate_with<G: LabeledGraph>(
+/// [`evaluate`] with caller-owned scratch and a [`Budget`]: identical
+/// matches and visit counts while the budget holds, no steady-state
+/// allocation across a batch of queries. The budget is `&mut` so validation
+/// walks can share it; once it runs out the walk returns its error and
+/// records no telemetry.
+pub fn evaluate_with<G: LabeledGraph, B: Budget>(
     g: &G,
     nfa: &Nfa,
     label_index: &LabelIndex,
     arena: &mut EvalArena,
-) -> EvalOutcome {
+    budget: &mut B,
+) -> Result<EvalOutcome, B::Error> {
     let states = nfa.state_count();
     let nodes = g.node_count();
 
@@ -119,15 +125,19 @@ pub fn evaluate_with<G: LabeledGraph>(
                         matched: &mut Marks,
                         matched_list: &mut Vec<NodeId>,
                         queue: &mut Vec<(StateId, NodeId)>,
-                        visited: &mut u64| {
+                        visited: &mut u64,
+                        budget: &mut B|
+     -> Result<(), B::Error> {
         if !active.mark(state.index() * nodes + node.index()) {
-            return;
+            return Ok(());
         }
+        budget.charge(1, *visited)?;
         *visited += 1;
         if nfa.is_accepting(state) && matched.mark(node.index()) {
             matched_list.push(node);
         }
         queue.push((state, node));
+        Ok(())
     };
 
     // Seed: consuming transitions reachable from the ε-closure of start.
@@ -138,12 +148,30 @@ pub fn evaluate_with<G: LabeledGraph>(
         match step {
             Step::Label(l) => {
                 for &n in label_index.nodes_with(l) {
-                    activate(target, n, active, matched, matched_list, queue, &mut visited);
+                    activate(
+                        target,
+                        n,
+                        active,
+                        matched,
+                        matched_list,
+                        queue,
+                        &mut visited,
+                        budget,
+                    )?;
                 }
             }
             Step::Any => {
                 for n in label_index.all_nodes() {
-                    activate(target, n, active, matched, matched_list, queue, &mut visited);
+                    activate(
+                        target,
+                        n,
+                        active,
+                        matched,
+                        matched_list,
+                        queue,
+                        &mut visited,
+                        budget,
+                    )?;
                 }
             }
         }
@@ -169,7 +197,8 @@ pub fn evaluate_with<G: LabeledGraph>(
                         matched_list,
                         queue,
                         &mut visited,
-                    );
+                        budget,
+                    )?;
                 }
             }
         }
@@ -181,7 +210,7 @@ pub fn evaluate_with<G: LabeledGraph>(
 
     let mut matches = std::mem::take(matched_list);
     matches.sort_unstable();
-    EvalOutcome { matches, visited }
+    Ok(EvalOutcome { matches, visited })
 }
 
 /// Does some node path ending at `node` match a word of `nfa`'s language?
@@ -191,22 +220,26 @@ pub fn evaluate_with<G: LabeledGraph>(
 /// at the first witness. Returns the verdict and the number of
 /// `(state, node)` activations performed (charged as data-graph visits).
 pub fn matches_ending_at<G: LabeledGraph>(g: &G, reversed: &Nfa, node: NodeId) -> (bool, u64) {
-    matches_ending_at_with(g, reversed, node, &mut EvalArena::new())
+    let Ok(out) = matches_ending_at_with(g, reversed, node, &mut EvalArena::new(), &mut Unlimited);
+    out
 }
 
-/// [`matches_ending_at`] with caller-owned scratch: identical verdicts and
-/// visit counts, no steady-state allocation across a batch of candidates.
-pub fn matches_ending_at_with<G: LabeledGraph>(
+/// [`matches_ending_at`] with caller-owned scratch and a [`Budget`]:
+/// identical verdicts and visit counts while the budget holds, no
+/// steady-state allocation across a batch of candidates.
+pub fn matches_ending_at_with<G: LabeledGraph, B: Budget>(
     g: &G,
     reversed: &Nfa,
     node: NodeId,
     arena: &mut EvalArena,
-) -> (bool, u64) {
-    // Aggregate recording at every exit; the walk itself is untouched.
-    fn finish(hit: bool, visited: u64) -> (bool, u64) {
+    budget: &mut B,
+) -> Result<(bool, u64), B::Error> {
+    // Aggregate recording at every completed exit; the walk itself is
+    // untouched.
+    fn finish<E>(hit: bool, visited: u64) -> Result<(bool, u64), E> {
         telemetry::metrics::PATHEXPR_VALIDATION_WALKS.incr();
         telemetry::metrics::PATHEXPR_VALIDATION_ACTIVATIONS.add(visited);
-        (hit, visited)
+        Ok((hit, visited))
     }
 
     let states = reversed.state_count();
@@ -223,6 +256,7 @@ pub fn matches_ending_at_with<G: LabeledGraph>(
     let node_label = g.label_of(node);
     for &(step, target) in reversed.closure_steps_of(reversed.start()) {
         if step.matches(node_label) && active.mark(target.index() * nodes + node.index()) {
+            budget.charge(1, visited)?;
             visited += 1;
             if reversed.is_accepting(target) {
                 return finish(true, visited);
@@ -241,6 +275,7 @@ pub fn matches_ending_at_with<G: LabeledGraph>(
                 if step.matches(g.label_of(parent))
                     && active.mark(target.index() * nodes + parent.index())
                 {
+                    budget.charge(1, visited)?;
                     visited += 1;
                     if reversed.is_accepting(target) {
                         return finish(true, visited);
@@ -251,6 +286,37 @@ pub fn matches_ending_at_with<G: LabeledGraph>(
         }
     }
     finish(false, visited)
+}
+
+/// A cap on `(state, node)` activations, charged one activation at a time
+/// by [`evaluate_with`] and [`matches_ending_at_with`].
+///
+/// Both walks are generic over the budget, so bounded and unbounded
+/// evaluation share one body: [`VisitBudget`] aborts with
+/// [`BudgetExhausted`], and [`Unlimited`] never fails — its error type is
+/// [`Infallible`], so its charges compile to nothing and callers unwrap the
+/// result with a plain `let Ok(out) = …;`.
+pub trait Budget {
+    /// What a charge the budget cannot cover reports.
+    type Error;
+
+    /// Charge `n` activations. `visited` is the charging walk's own count so
+    /// far, reported in the error. A failed charge spends nothing.
+    fn charge(&mut self, n: u64, visited: u64) -> Result<(), Self::Error>;
+}
+
+/// The budget that never runs out: the walks under it are the plain
+/// unbounded evaluators.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Unlimited;
+
+impl Budget for Unlimited {
+    type Error = Infallible;
+
+    #[inline]
+    fn charge(&mut self, _n: u64, _visited: u64) -> Result<(), Infallible> {
+        Ok(())
+    }
 }
 
 /// A cap on `(state, node)` activations shared across the phases of one
@@ -271,33 +337,22 @@ impl VisitBudget {
         VisitBudget { remaining: limit }
     }
 
-    /// A budget that never exhausts (bounded evaluation then behaves
-    /// identically to the unbounded evaluators).
-    pub fn unlimited() -> Self {
-        VisitBudget { remaining: u64::MAX }
-    }
-
     /// Activations still allowed.
     pub fn remaining(&self) -> u64 {
         self.remaining
     }
+}
 
-    /// Charge one activation; `false` means the budget is exhausted.
-    #[inline]
-    pub fn try_charge(&mut self) -> bool {
-        self.try_charge_many(1)
-    }
+impl Budget for VisitBudget {
+    type Error = BudgetExhausted;
 
-    /// Charge `n` activations at once (used when replaying memoized
-    /// validation verdicts, which charge their stored visit count); `false`
-    /// means the budget cannot cover them.
     #[inline]
-    pub fn try_charge_many(&mut self, n: u64) -> bool {
+    fn charge(&mut self, n: u64, visited: u64) -> Result<(), BudgetExhausted> {
         if self.remaining < n {
-            return false;
+            return Err(BudgetExhausted { visited });
         }
         self.remaining -= n;
-        true
+        Ok(())
     }
 }
 
@@ -308,7 +363,9 @@ impl VisitBudget {
 /// prevent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BudgetExhausted {
-    /// Activations performed before the abort (the full budget).
+    /// Activations the aborted walk itself performed before the abort. A
+    /// budget shared across walks may have been spent partly by earlier
+    /// ones, so this is the whole budget only for the walk that started it.
     pub visited: u64,
 }
 
@@ -319,164 +376,6 @@ impl std::fmt::Display for BudgetExhausted {
 }
 
 impl std::error::Error for BudgetExhausted {}
-
-/// [`evaluate_with`] under a [`VisitBudget`]: identical matches and visit
-/// counts while the budget holds, a typed [`BudgetExhausted`] once it
-/// doesn't. The budget is `&mut` so validation walks can share it.
-pub fn evaluate_bounded_with<G: LabeledGraph>(
-    g: &G,
-    nfa: &Nfa,
-    label_index: &LabelIndex,
-    arena: &mut EvalArena,
-    budget: &mut VisitBudget,
-) -> Result<EvalOutcome, BudgetExhausted> {
-    let states = nfa.state_count();
-    let nodes = g.node_count();
-
-    let EvalArena {
-        active,
-        matched,
-        matched_list,
-        queue,
-        ..
-    } = arena;
-    active.reset(states * nodes);
-    matched.reset(nodes);
-    matched_list.clear();
-    queue.clear();
-    let mut visited: u64 = 0;
-
-    // Same activation discipline as `evaluate_with`, plus the budget charge.
-    // Returns false exactly when the budget ran out.
-    let activate = |state: StateId,
-                        node: NodeId,
-                        active: &mut Marks,
-                        matched: &mut Marks,
-                        matched_list: &mut Vec<NodeId>,
-                        queue: &mut Vec<(StateId, NodeId)>,
-                        visited: &mut u64,
-                        budget: &mut VisitBudget|
-     -> bool {
-        if !active.mark(state.index() * nodes + node.index()) {
-            return true;
-        }
-        if !budget.try_charge() {
-            return false;
-        }
-        *visited += 1;
-        if nfa.is_accepting(state) && matched.mark(node.index()) {
-            matched_list.push(node);
-        }
-        queue.push((state, node));
-        true
-    };
-
-    for &(step, target) in nfa.closure_steps_of(nfa.start()) {
-        match step {
-            Step::Label(l) => {
-                for &n in label_index.nodes_with(l) {
-                    if !activate(target, n, active, matched, matched_list, queue, &mut visited, budget) {
-                        return Err(BudgetExhausted { visited });
-                    }
-                }
-            }
-            Step::Any => {
-                for n in label_index.all_nodes() {
-                    if !activate(target, n, active, matched, matched_list, queue, &mut visited, budget) {
-                        return Err(BudgetExhausted { visited });
-                    }
-                }
-            }
-        }
-    }
-
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, node) = queue[head];
-        head += 1;
-        let children = g.children_of(node);
-        for &(step, target) in nfa.closure_steps_of(state) {
-            for &child in children {
-                if step.matches(g.label_of(child))
-                    && !activate(target, child, active, matched, matched_list, queue, &mut visited, budget)
-                {
-                    return Err(BudgetExhausted { visited });
-                }
-            }
-        }
-    }
-
-    telemetry::metrics::PATHEXPR_EVALUATIONS.incr();
-    telemetry::metrics::PATHEXPR_ACTIVATIONS.add(visited);
-    telemetry::metrics::PATHEXPR_VISITS_PER_EVAL.record(visited);
-
-    let mut matches = std::mem::take(matched_list);
-    matches.sort_unstable();
-    Ok(EvalOutcome { matches, visited })
-}
-
-/// [`matches_ending_at_with`] under a [`VisitBudget`]: identical verdicts
-/// and visit counts while the budget holds, [`BudgetExhausted`] once it
-/// doesn't.
-pub fn matches_ending_at_bounded_with<G: LabeledGraph>(
-    g: &G,
-    reversed: &Nfa,
-    node: NodeId,
-    arena: &mut EvalArena,
-    budget: &mut VisitBudget,
-) -> Result<(bool, u64), BudgetExhausted> {
-    fn finish(hit: bool, visited: u64) -> Result<(bool, u64), BudgetExhausted> {
-        telemetry::metrics::PATHEXPR_VALIDATION_WALKS.incr();
-        telemetry::metrics::PATHEXPR_VALIDATION_ACTIVATIONS.add(visited);
-        Ok((hit, visited))
-    }
-
-    let states = reversed.state_count();
-    let nodes = g.node_count();
-
-    let EvalArena { active, queue, .. } = arena;
-    active.reset(states * nodes);
-    queue.clear();
-    let mut visited: u64 = 0;
-
-    let node_label = g.label_of(node);
-    for &(step, target) in reversed.closure_steps_of(reversed.start()) {
-        if step.matches(node_label) && active.mark(target.index() * nodes + node.index()) {
-            if !budget.try_charge() {
-                return Err(BudgetExhausted { visited });
-            }
-            visited += 1;
-            if reversed.is_accepting(target) {
-                return finish(true, visited);
-            }
-            queue.push((target, node));
-        }
-    }
-
-    let mut head = 0;
-    while head < queue.len() {
-        let (state, n) = queue[head];
-        head += 1;
-        let parents = g.parents_of(n);
-        for &(step, target) in reversed.closure_steps_of(state) {
-            for &parent in parents {
-                if step.matches(g.label_of(parent))
-                    && active.mark(target.index() * nodes + parent.index())
-                {
-                    if !budget.try_charge() {
-                        return Err(BudgetExhausted { visited });
-                    }
-                    visited += 1;
-                    if reversed.is_accepting(target) {
-                        return finish(true, visited);
-                    }
-                    queue.push((target, parent));
-                }
-            }
-        }
-    }
-    finish(false, visited)
-}
 
 /// The pre-arena reference implementation of [`evaluate`]: allocates fresh
 /// scratch per call. Kept for the equivalence property tests and the
@@ -789,14 +688,15 @@ mod tests {
             let e = parse(expr).unwrap();
             let nfa = Nfa::compile(&e, g.labels());
             let base = evaluate_baseline(&g, &nfa, &idx);
-            let fast = evaluate_with(&g, &nfa, &idx, &mut arena);
+            let Ok(fast) = evaluate_with(&g, &nfa, &idx, &mut arena, &mut Unlimited);
             assert_eq!(base, fast, "expr {expr}");
 
             let rev = nfa.reverse();
             for node in g.node_ids() {
+                let Ok(fast) = matches_ending_at_with(&g, &rev, node, &mut arena, &mut Unlimited);
                 assert_eq!(
                     matches_ending_at_baseline(&g, &rev, node),
-                    matches_ending_at_with(&g, &rev, node, &mut arena),
+                    fast,
                     "expr {expr} node {node:?}"
                 );
             }
@@ -811,19 +711,19 @@ mod tests {
         for expr in ["movie.title", "director.movie.title", "_._.title", "title"] {
             let e = parse(expr).unwrap();
             let nfa = Nfa::compile(&e, g.labels());
-            let free = evaluate_with(&g, &nfa, &idx, &mut arena);
-            let mut budget = VisitBudget::unlimited();
-            let bounded = evaluate_bounded_with(&g, &nfa, &idx, &mut arena, &mut budget)
-                .expect("unlimited budget never aborts");
+            let Ok(free) = evaluate_with(&g, &nfa, &idx, &mut arena, &mut Unlimited);
+            let mut budget = VisitBudget::new(u64::MAX);
+            let bounded = evaluate_with(&g, &nfa, &idx, &mut arena, &mut budget)
+                .expect("ample budget never aborts");
             assert_eq!(free, bounded, "expr {expr}");
+            assert_eq!(budget.remaining(), u64::MAX - free.visited);
 
             let rev = nfa.reverse();
             for node in g.node_ids() {
-                let plain = matches_ending_at_with(&g, &rev, node, &mut arena);
-                let mut budget = VisitBudget::unlimited();
-                let bounded =
-                    matches_ending_at_bounded_with(&g, &rev, node, &mut arena, &mut budget)
-                        .expect("unlimited budget never aborts");
+                let Ok(plain) = matches_ending_at_with(&g, &rev, node, &mut arena, &mut Unlimited);
+                let mut budget = VisitBudget::new(u64::MAX);
+                let bounded = matches_ending_at_with(&g, &rev, node, &mut arena, &mut budget)
+                    .expect("ample budget never aborts");
                 assert_eq!(plain, bounded, "expr {expr} node {node:?}");
             }
         }
@@ -836,18 +736,18 @@ mod tests {
         let mut arena = EvalArena::new();
         let e = parse("director.movie.title").unwrap();
         let nfa = Nfa::compile(&e, g.labels());
-        let full = evaluate_with(&g, &nfa, &idx, &mut arena);
+        let full = evaluate(&g, &nfa, &idx);
         assert!(full.visited > 0);
         for limit in 0..full.visited {
             let mut budget = VisitBudget::new(limit);
-            let err = evaluate_bounded_with(&g, &nfa, &idx, &mut arena, &mut budget)
+            let err = evaluate_with(&g, &nfa, &idx, &mut arena, &mut budget)
                 .expect_err("budget below the query's cost must abort");
             assert_eq!(err.visited, limit, "abort charges exactly the budget");
             assert_eq!(budget.remaining(), 0);
         }
         // Exactly the query's cost suffices.
         let mut budget = VisitBudget::new(full.visited);
-        let out = evaluate_bounded_with(&g, &nfa, &idx, &mut arena, &mut budget).unwrap();
+        let out = evaluate_with(&g, &nfa, &idx, &mut arena, &mut budget).unwrap();
         assert_eq!(out, full);
         assert_eq!(budget.remaining(), 0);
     }
@@ -859,12 +759,13 @@ mod tests {
         let nfa = Nfa::compile(&e, g.labels());
         let rev = nfa.reverse();
         let mut arena = EvalArena::new();
-        let (hit, visited) = matches_ending_at_with(&g, &rev, n[2], &mut arena);
+        let (hit, visited) = matches_ending_at(&g, &rev, n[2]);
         assert!(hit);
         assert!(visited > 0);
         let mut budget = VisitBudget::new(visited - 1);
-        matches_ending_at_bounded_with(&g, &rev, n[2], &mut arena, &mut budget)
+        let err = matches_ending_at_with(&g, &rev, n[2], &mut arena, &mut budget)
             .expect_err("insufficient budget must abort");
+        assert_eq!(err.visited, visited - 1, "the walk's own count at the abort");
     }
 
     #[test]

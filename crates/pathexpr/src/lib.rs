@@ -13,6 +13,10 @@
 //!   [`dkindex_graph::LabeledGraph`] with the paper's node-visit cost model.
 //! * [`EvalArena`] + [`evaluate_with`] / [`matches_ending_at_with`] —
 //!   allocation-free batch evaluation with reusable epoch-stamped scratch.
+//!   Both walks are generic over a [`Budget`]: a [`VisitBudget`] caps the
+//!   activations of a whole query and aborts with [`BudgetExhausted`], while
+//!   [`Unlimited`] costs nothing and cannot fail. There is one forward and
+//!   one backward walk; bounded and unbounded evaluation are the same code.
 //!
 //! ## Example
 //!
@@ -45,9 +49,9 @@ pub mod twig;
 
 pub use ast::{LastLabels, PathExpr};
 pub use eval::{
-    evaluate, evaluate_baseline, evaluate_bounded_with, evaluate_with, matches_ending_at,
-    matches_ending_at_baseline, matches_ending_at_bounded_with, matches_ending_at_with,
-    BudgetExhausted, EvalArena, EvalOutcome, LabelIndex, VisitBudget,
+    evaluate, evaluate_baseline, evaluate_with, matches_ending_at, matches_ending_at_baseline,
+    matches_ending_at_with, Budget, BudgetExhausted, EvalArena, EvalOutcome, LabelIndex,
+    Unlimited, VisitBudget,
 };
 pub use nfa::{Nfa, StateId, Step};
 pub use parse::{parse, ParseError};

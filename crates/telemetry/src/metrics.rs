@@ -11,12 +11,14 @@ use crate::{Counter, Histogram, Unit};
 
 // ---- dkindex-pathexpr: NFA evaluation and validation walks --------------
 
-/// Forward NFA evaluations performed (`evaluate_with`).
+/// Forward NFA evaluations completed (`evaluate_with` under any budget; a
+/// walk that exhausts its budget records nothing).
 pub static PATHEXPR_EVALUATIONS: Counter = Counter::new("pathexpr.evaluations");
 /// Total `(state, node)` activations across forward evaluations — the
 /// paper's §6.1 "nodes visited" cost, summed.
 pub static PATHEXPR_ACTIVATIONS: Counter = Counter::new("pathexpr.activations");
-/// Backward validation walks performed (`matches_ending_at_with`).
+/// Backward validation walks completed (`matches_ending_at_with` under any
+/// budget; a walk that exhausts its budget records nothing).
 pub static PATHEXPR_VALIDATION_WALKS: Counter = Counter::new("pathexpr.validation_walks");
 /// Total activations charged during backward validation walks.
 pub static PATHEXPR_VALIDATION_ACTIVATIONS: Counter =
@@ -152,7 +154,8 @@ pub static TUNER_TUNE_NS: Histogram = Histogram::new("tuner.tune_ns", Unit::Nano
 // ---- dkindex-core: live tuning inside the serve loop ---------------------
 
 /// Queries the serve-loop `LoadMonitor` recorded (epoch readers feed it on
-/// every `Epoch::evaluate`/`evaluate_bounded`, lock-free).
+/// every answered `Epoch` query, memo hit or miss, lock-free; an aborted
+/// bounded probe is not recorded).
 pub static TUNER_LIVE_QUERIES: Counter = Counter::new("tuner.live.queries");
 /// Recorded serve queries whose answer needed the validation process.
 pub static TUNER_LIVE_VALIDATIONS: Counter = Counter::new("tuner.live.validations");

@@ -1,13 +1,15 @@
 //! Persistence round-trip through the library API: build a D(k)-index over
-//! generated auction data, save graph + index to one `.dki` container,
-//! reload in a "fresh process", verify the invariants and serve queries —
-//! the workflow the `dkindex` CLI wraps.
+//! generated auction data, save graph + index as one DKSN snapshot (the
+//! format `dkindex build` writes), reload it in a "fresh process", and
+//! serve the workload from the reloaded index, checking every answer
+//! against direct evaluation on the data graph — the workflow the `dkindex`
+//! CLI wraps.
 //!
 //! Run with: `cargo run --release --example persist_and_reload`
 
-use dkindex::core::store::{load_dk, save_dk};
-use dkindex::core::{CachedEvaluator, DkIndex};
+use dkindex::core::{evaluate_on_data, read_snapshot, snapshot_bytes, DkIndex, IndexEvaluator};
 use dkindex::datagen::{xmark_graph, XmarkConfig};
+use dkindex::graph::LabeledGraph;
 use dkindex::workload::{generate_test_paths, WorkloadConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,34 +18,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let workload = generate_test_paths(&data, &WorkloadConfig::default());
     let dk = DkIndex::build(&data, workload.mine_requirements());
 
-    let mut container = Vec::new();
-    save_dk(&dk, &data, &mut container)?;
+    let snapshot = snapshot_bytes(&dk, &data);
     println!(
         "saved {} data nodes + {} index nodes in {} bytes ({:.1} bytes/node)",
-        dkindex::graph::LabeledGraph::node_count(&data),
+        data.node_count(),
         dk.size(),
-        container.len(),
-        container.len() as f64 / dkindex::graph::LabeledGraph::node_count(&data) as f64
+        snapshot.len(),
+        snapshot.len() as f64 / data.node_count() as f64
     );
 
-    // "Process 2": reload (load_dk re-checks every index invariant against
-    // the loaded graph) and serve the workload through the cached evaluator.
-    let (loaded, loaded_data) = load_dk(&mut container.as_slice())?;
+    // "Process 2": reload (the strict reader checks every section's CRC and
+    // every index invariant against the loaded graph) and serve the
+    // workload, checking each answer against the data graph itself.
+    let (loaded, loaded_data) = read_snapshot(&snapshot)?;
     println!("reloaded: {}", dkindex::core::IndexStats::of(loaded.index(), &loaded_data));
 
-    let mut cache = CachedEvaluator::new(loaded.index());
-    let mut cold = 0u64;
-    let mut warm = 0u64;
+    let mut evaluator = IndexEvaluator::new(loaded.index(), &loaded_data);
+    let mut cost = 0u64;
+    let mut validated = 0usize;
     for q in workload.queries() {
-        cold += cache.evaluate(loaded.index(), &loaded_data, q).cost.total();
+        let out = evaluator.evaluate(q);
+        assert_eq!(
+            out.matches,
+            evaluate_on_data(&loaded_data, q).0,
+            "reloaded index must answer {q} exactly"
+        );
+        cost += out.cost.total();
+        validated += usize::from(out.validated);
     }
-    for q in workload.queries() {
-        warm += cache.evaluate(loaded.index(), &loaded_data, q).cost.total();
-    }
-    let (hits, misses) = cache.stats();
     println!(
-        "workload cost: cold {cold} node visits, warm {warm} (cache: {hits} hits / {misses} misses)"
+        "workload: {} queries answered exactly, {cost} node visits, {validated} validated",
+        workload.queries().len()
     );
-    assert_eq!(warm, 0, "second pass must be fully cached");
     Ok(())
 }
